@@ -5,7 +5,8 @@ The paper uses XGBoost v0.60 (binary logistic objective, ``max_depth=20``,
 package implements the same algorithm family in pure numpy:
 
 * :mod:`repro.ml.tree` — CART regression trees grown with XGBoost's
-  second-order gain and sparsity-aware (missing-value) default directions;
+  second-order gain and sparsity-aware (missing-value) default directions,
+  by exact greedy search over one presort per boosting call;
 * :mod:`repro.ml.gbt` — Newton boosting under logistic loss, with margin
   continuation for incremental learning;
 * :mod:`repro.ml.features` — the Sec 4.1 feature pipeline (time deltas,

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.ml.gbt import GradientBoostedTrees, sigmoid
-from repro.ml.tree import RegressionTree, _Node
+from repro.ml.tree import RegressionTree
 
 
-def _mean_value(node: _Node) -> float:
+def _mean_value(tree: RegressionTree, node: int) -> float:
     """Expected leaf value of the subtree (unweighted leaf average).
 
     An unweighted average over leaves is a standard approximation when
@@ -28,31 +28,30 @@ def _mean_value(node: _Node) -> float:
     telescopes exactly because both child and parent use the same
     definition.
     """
-    if node.is_leaf:
-        return node.value
-    assert node.left is not None and node.right is not None
-    return 0.5 * (_mean_value(node.left) + _mean_value(node.right))
+    if tree.feature[node] < 0:
+        return tree.value[node]
+    return 0.5 * (
+        _mean_value(tree, tree.left[node]) + _mean_value(tree, tree.right[node])
+    )
 
 
 def tree_contributions(tree: RegressionTree, x: np.ndarray) -> Dict[int, float]:
     """Per-feature margin contributions of one tree for sample ``x``."""
-    contributions: Dict[int, float] = {}
-    node = tree._root
-    if node is None:
+    if not tree.value:
         raise ValueError("tree is not fitted")
-    current = _mean_value(node)
-    while not node.is_leaf:
-        value = x[node.feature]
+    contributions: Dict[int, float] = {}
+    node = 0
+    current = _mean_value(tree, node)
+    while tree.feature[node] >= 0:
+        feature = tree.feature[node]
+        value = x[feature]
         missing = np.isnan(value)
-        goes_left = (value < node.threshold) or (missing and node.default_left)
-        if missing and not node.default_left:
-            goes_left = False
-        child = node.left if goes_left else node.right
-        assert child is not None
-        child_value = _mean_value(child)
-        contributions[node.feature] = (
-            contributions.get(node.feature, 0.0) + child_value - current
+        goes_left = (value < tree.threshold[node]) or (
+            missing and tree.default_left[node]
         )
+        child = tree.left[node] if goes_left else tree.right[node]
+        child_value = _mean_value(tree, child)
+        contributions[feature] = contributions.get(feature, 0.0) + child_value - current
         current = child_value
         node = child
     return contributions
@@ -91,7 +90,7 @@ def explain_prediction(
     total: Dict[int, float] = {}
     lr = model.params.learning_rate
     for tree in model.trees:
-        root_mean = _mean_value(tree._root)
+        root_mean = _mean_value(tree, 0)
         bias += lr * root_mean
         for feature, value in tree_contributions(tree, x).items():
             total[feature] = total.get(feature, 0.0) + lr * value

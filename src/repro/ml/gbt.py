@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeParams
+from repro.ml.tree import RegressionTree, TreeParams, presort
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -99,13 +99,16 @@ class GradientBoostedTrees:
         rounds = self.params.num_rounds if num_rounds is None else num_rounds
         margin = self.predict_margin(X)
         tree_params = self.params.tree_params()
+        # X is fixed across rounds (only grad/hess change): sort it once.
+        data = presort(X)
         for _ in range(rounds):
             prob = sigmoid(margin)
             grad = prob - y
             hess = np.maximum(prob * (1.0 - prob), 1e-16)
-            tree = RegressionTree(tree_params).fit(X, grad, hess)
+            tree = RegressionTree(tree_params)
+            fitted = tree.grow(data, grad, hess)
             self.trees.append(tree)
-            margin = margin + self.params.learning_rate * tree.predict(X)
+            margin = margin + self.params.learning_rate * fitted
         return self
 
     @property
@@ -126,8 +129,12 @@ class GradientBoostedTrees:
         if X.ndim == 1:
             X = X.reshape(1, -1)
         margin = np.full(len(X), self.base_margin)
+        lr = self.params.learning_rate
         for tree in self.trees:
-            margin += self.params.learning_rate * tree.predict(X)
+            if tree.depth:
+                margin += lr * tree.predict(X)
+            else:
+                margin += lr * tree.value[0]
         return margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -135,8 +142,28 @@ class GradientBoostedTrees:
         return sigmoid(self.predict_margin(X))
 
     def predict_one(self, x: np.ndarray) -> float:
-        """P(y=1) for a single feature vector."""
-        return float(self.predict_proba(np.asarray(x).reshape(1, -1))[0])
+        """P(y=1) for a single feature vector.
+
+        Walks the node lists in plain Python; the float64 margin it sums
+        is bit-equal to :meth:`predict_margin` on the same row.
+        """
+        row = np.asarray(x, dtype=float).reshape(-1).tolist()
+        margin = self.base_margin
+        lr = self.params.learning_rate
+        for tree in self.trees:
+            feature = tree.feature
+            node = 0
+            f = feature[0]
+            while f >= 0:
+                v = row[f]
+                # ``v != v``: v is NaN, which takes the default branch.
+                if v < tree.threshold[node] or (v != v and tree.default_left[node]):
+                    node = tree.left[node]
+                else:
+                    node = tree.right[node]
+                f = feature[node]
+            margin += lr * tree.value[node]
+        return float(sigmoid(np.array([margin]))[0])
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard labels at the given discrimination threshold."""

@@ -13,59 +13,53 @@ from dataclasses import asdict
 from typing import Any, Dict
 
 from repro.ml.gbt import GBTParams, GradientBoostedTrees
-from repro.ml.tree import RegressionTree, TreeParams, _Node
+from repro.ml.tree import RegressionTree, TreeParams
 
 FORMAT_VERSION = 1
 
 
-def _node_to_dict(node: _Node) -> Dict[str, Any]:
-    if node.is_leaf:
-        return {"leaf": node.value}
-    assert node.left is not None and node.right is not None
+def _node_to_dict(tree: RegressionTree, node: int) -> Dict[str, Any]:
+    if tree.feature[node] < 0:
+        return {"leaf": tree.value[node]}
     return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "default_left": node.default_left,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "feature": tree.feature[node],
+        "threshold": tree.threshold[node],
+        "default_left": tree.default_left[node],
+        "left": _node_to_dict(tree, tree.left[node]),
+        "right": _node_to_dict(tree, tree.right[node]),
     }
 
 
-def _node_from_dict(data: Dict[str, Any]) -> _Node:
-    node = _Node()
+def _add_node(tree: RegressionTree, data: Dict[str, Any], depth: int) -> int:
+    """Append ``data``'s subtree to the node lists in preorder; return its id."""
     if "leaf" in data:
-        node.value = float(data["leaf"])
-        return node
-    node.is_leaf = False
-    node.feature = int(data["feature"])
-    node.threshold = float(data["threshold"])
-    node.default_left = bool(data["default_left"])
-    node.left = _node_from_dict(data["left"])
-    node.right = _node_from_dict(data["right"])
+        return tree._add_leaf(float(data["leaf"]))
+    node = tree._add_leaf(0.0)
+    tree.depth = max(tree.depth, depth + 1)
+    tree.feature[node] = int(data["feature"])
+    tree.threshold[node] = float(data["threshold"])
+    tree.default_left[node] = bool(data["default_left"])
+    tree.left[node] = _add_node(tree, data["left"], depth + 1)
+    tree.right[node] = _add_node(tree, data["right"], depth + 1)
     return node
 
 
-def _count_nodes(data: Dict[str, Any]) -> int:
-    if "leaf" in data:
-        return 1
-    return 1 + _count_nodes(data["left"]) + _count_nodes(data["right"])
-
-
 def tree_to_dict(tree: RegressionTree) -> Dict[str, Any]:
-    if tree._root is None:
+    """Serialize one fitted tree as a nested JSON-ready dict."""
+    if not tree.value:
         raise ValueError("cannot serialize an unfitted tree")
     return {
         "n_features": tree.n_features,
         "params": asdict(tree.params),
-        "root": _node_to_dict(tree._root),
+        "root": _node_to_dict(tree, 0),
     }
 
 
 def tree_from_dict(data: Dict[str, Any]) -> RegressionTree:
+    """Rebuild a tree serialized by :func:`tree_to_dict`."""
     tree = RegressionTree(TreeParams(**data["params"]))
     tree.n_features = int(data["n_features"])
-    tree._root = _node_from_dict(data["root"])
-    tree.node_count = _count_nodes(data["root"])
+    _add_node(tree, data["root"], 0)
     return tree
 
 

@@ -44,6 +44,8 @@ _SLAB_CHUNK = 1024
 #: Same compaction floor as the reference simulator.
 _COMPACT_MIN_TOMBSTONES = 64
 
+_INF = float("inf")
+
 
 class FastEvent:
     """Cancellation handle for a slab-scheduled event.
@@ -136,10 +138,10 @@ class FastSimulator(Simulator):
         Same contract as the reference simulator; ``name`` is accepted
         for API compatibility but not stored (it is debugging-only).
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
+        # One chained comparison: NaN fails both sides, and so do -inf
+        # (behind the clock) and +inf (never reached).
+        if not self._now <= time < _INF:
+            raise SimulationError(f"cannot schedule event at {time} (now={self._now})")
         free = self._free
         if not free:
             self._grow_slab()

@@ -28,6 +28,8 @@ from repro.sim.clock import Clock
 #: and re-heapifying them on every cancel would be pure overhead.
 _COMPACT_MIN_TOMBSTONES = 64
 
+_INF = float("inf")
+
 
 class Event:
     """A scheduled callback.  Heap ordering is by (time, priority, seq).
@@ -157,10 +159,10 @@ class Simulator(Clock):
         Lower ``priority`` runs first among same-time events; the
         default 0 preserves FIFO scheduling order.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
+        # One chained comparison: NaN fails both sides, and so do -inf
+        # (behind the clock) and +inf (never reached).
+        if not self._now <= time < _INF:
+            raise SimulationError(f"cannot schedule event at {time} (now={self._now})")
         event = Event(time, next(self._seq), callback, name, self, priority)
         heappush(self._heap, event)
         if len(self._heap) > self.max_heap_size:
@@ -171,8 +173,8 @@ class Simulator(Clock):
         self, delay: float, callback: Callable[[], Any], name: str = ""
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds (>= 0)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"invalid delay: {delay}")
         return self.at(self._now + delay, callback, name)
 
     # -- tombstone accounting ----------------------------------------------

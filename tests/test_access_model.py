@@ -7,6 +7,9 @@ from repro.common.units import MINUTES
 from repro.ml.access_model import FileAccessModel, LearningMode
 from repro.ml.gbt import GBTParams
 
+# Warnings (e.g. divide-by-zero in masked gain lanes) fail the test.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def feed_periodic_pattern(model, n_files=40, periods=(600.0, 7200.0), horizon=20000.0):
     """Synthetic stream: files re-accessed with per-file period.

@@ -6,6 +6,9 @@ import pytest
 from repro.ml.explain import explain_prediction, tree_contributions
 from repro.ml.gbt import GBTParams, GradientBoostedTrees
 
+# Warnings (e.g. divide-by-zero in masked gain lanes) fail the test.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def make_model(seed=0, rounds=5):
     rng = np.random.default_rng(seed)

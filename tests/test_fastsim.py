@@ -57,6 +57,22 @@ class TestOrderingEquivalence:
         with pytest.raises(SimulationError):
             sim.at(9.0, lambda: None)
 
+    def test_non_finite_times_rejected(self):
+        """NaN and +/-inf are refused before they take a slab slot."""
+        sim = FastSimulator()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SimulationError):
+                sim.at(bad, lambda: None)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                sim.after(bad, lambda: None)
+        log = []
+        for t in (2.0, 3.0, 4.0, 1.0, 5.0):
+            sim.at(t, lambda t=t: log.append(t))
+        sim.run()
+        assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sim.stats()["slab_free"] == sim.stats()["slab_capacity"]
+
     def test_run_until_and_max_events(self):
         sim = FastSimulator()
         fired = []

@@ -6,6 +6,9 @@ import pytest
 from repro.ml.gbt import GBTParams, GradientBoostedTrees, sigmoid
 from repro.ml.metrics import accuracy, auc
 
+# Warnings (e.g. divide-by-zero in masked gain lanes) fail the test.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def make_problem(n=600, seed=0):
     rng = np.random.default_rng(seed)

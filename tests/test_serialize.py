@@ -26,6 +26,9 @@ from repro.workload.serialize import (
     trace_to_dict,
 )
 
+# Warnings (e.g. divide-by-zero in masked gain lanes) fail the test.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def fitted_model(seed=0):
     rng = np.random.default_rng(seed)

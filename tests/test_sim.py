@@ -67,6 +67,23 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.after(-1.0, lambda: None)
 
+    def test_non_finite_times_rejected(self):
+        """NaN and +/-inf never reach the heap: one NaN would silently
+        reorder the events around it (2, 3, 4, 1, NaN, 5)."""
+        sim = Simulator()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SimulationError):
+                sim.at(bad, lambda: None)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                sim.after(bad, lambda: None)
+        log = []
+        for t in (2.0, 3.0, 4.0, 1.0, 5.0):
+            sim.at(t, lambda t=t: log.append(t))
+        sim.run()
+        assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sim.pending == 0
+
     def test_run_until_stops_and_advances_clock(self):
         sim = Simulator()
         log = []

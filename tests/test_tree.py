@@ -5,6 +5,9 @@ import pytest
 
 from repro.ml.tree import RegressionTree, TreeParams
 
+# Warnings (e.g. divide-by-zero in masked gain lanes) fail the test.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def logistic_targets(y, margin=0.0):
     """Gradient/hessian of logistic loss at a constant margin."""
